@@ -376,7 +376,8 @@ func BenchmarkRunParallel(b *testing.B) {
 
 // benchTopoPaths measures one zoo topology's deterministic path
 // enumeration: every ordered pair among the first 16 hosts of a 48-host
-// build, enumerated fresh each time (no simulator cache in front).
+// build, enumerated fresh each time through Topology.Paths, which has no
+// path table in front of it.
 func benchTopoPaths(b *testing.B, name string) {
 	top, _, err := topo.Build(name, topo.Spec{Hosts: 48, LinkSpeed: 100 * units.Gbps})
 	if err != nil {
@@ -422,7 +423,7 @@ func benchTopoSim(b *testing.B, name string) {
 		b.Fatal(err)
 	}
 	s := netsim.New(top)
-	if _, err := s.Run(flows); err != nil { // warm the path cache
+	if _, err := s.Run(flows); err != nil { // fill the Sim's path table
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -441,6 +442,40 @@ func BenchmarkTopoSimDragonfly(b *testing.B) { benchTopoSim(b, "dragonfly") }
 
 // BenchmarkTopoSimTorus3D is the 3D torus through the simulator.
 func BenchmarkTopoSimTorus3D(b *testing.B) { benchTopoSim(b, "torus3d") }
+
+// benchScenario answers one simulation scenario per iteration through the
+// engine, a distinct seed each, so every iteration computes (no result
+// cache hit) while the topology memo and its path tables stay warm from
+// the untimed first request — a server's steady state under repeated
+// what-if simulations.
+func benchScenario(b *testing.B, name string) {
+	e := engine.New(engine.Options{})
+	ctx := context.Background()
+	do := func(seed int) {
+		req := engine.Request{Op: engine.OpScenario, Scenario: name,
+			Params: map[string]float64{"seed": float64(seed)}}
+		_, cached, err := e.Do(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cached {
+			b.Fatal("unexpected cache hit")
+		}
+	}
+	do(1 << 20)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		do(i + 1)
+	}
+}
+
+// BenchmarkScenarioTopologies is the cross-topology comparison at its
+// default 24 hosts: every zoo member's three phases and energy integrals.
+func BenchmarkScenarioTopologies(b *testing.B) { benchScenario(b, "topologies") }
+
+// BenchmarkScenarioFaults is the k=4 fault sweep: six rows, each a full
+// and a gated fabric simulated under the same seeded trace.
+func BenchmarkScenarioFaults(b *testing.B) { benchScenario(b, "faults") }
 
 // BenchmarkMaxMin measures the fairness solver on a contended instance.
 func BenchmarkMaxMin(b *testing.B) {

@@ -314,8 +314,6 @@ func TestEndToEndEnergyConsistency(t *testing.T) {
 	// ring only crosses a subset of switches, so the simulator's energy is
 	// bounded by [all-idle, all-busy-during-comm].
 	nSwitches := float64(len(top.SwitchIDs()))
-	idleAll := nSwitches * 0.9 * 750 * 1.0 // W x s at 10% prop idle=675... compute exactly below
-	_ = idleAll
 	idlePower := 675.0 // 750 * (1-0.10)
 	lo := nSwitches * idlePower * 1.0
 	hi := nSwitches * (idlePower*0.9 + 750*0.1)

@@ -8,6 +8,7 @@ import (
 	"netpowerprop/internal/fault"
 	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/report"
+	"netpowerprop/internal/topo"
 	"netpowerprop/internal/traffic"
 	"netpowerprop/internal/units"
 )
@@ -51,10 +52,16 @@ func faultsRows(req Request) (*scenarioRows, error) {
 	if err := reconfig.Validate(); err != nil {
 		return nil, err
 	}
-	top, err := fattree.BuildThreeTier(radix, 100*units.Gbps)
+	// Every simulation of the request (and of later requests at this
+	// radix) routes over the memoized fat tree's one path table.
+	entry, err := memo.get(topoKey{radix: radix, speed: 100 * units.Gbps}, func() (*fattree.Topology, topo.Design, error) {
+		top, err := fattree.BuildThreeTier(radix, 100*units.Gbps)
+		return top, topo.Design{}, err
+	})
 	if err != nil {
 		return nil, err
 	}
+	top := entry.top
 	// All-to-all keeps the core bisection loaded, so gating part of the
 	// core is visible in the slowdown (a ring barely touches the core).
 	job := traffic.Job{
@@ -90,6 +97,7 @@ func faultsRows(req Request) (*scenarioRows, error) {
 	}
 	simulate := func(tr *fault.Trace) (outcome, error) {
 		s := netsim.New(top)
+		s.Paths = entry.paths
 		s.Faults = tr
 		s.Models = SimModels()
 		res, err := s.RunParallel(flows, 0)
@@ -125,6 +133,7 @@ func faultsRows(req Request) (*scenarioRows, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		defer memo.trim()
 		mult := faultRateMultipliers[idx/len(faultGatingLevels)]
 		level := faultGatingLevels[idx%len(faultGatingLevels)]
 		cfg := fault.GenConfig{

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync/atomic"
 
+	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/obs"
 )
 
@@ -73,6 +74,12 @@ func (e *Engine) instrument(log *obs.Logger, reg *obs.Registry) {
 		"Row frames emitted by streaming requests.", &e.streamRows)
 	counter("netpowerprop_engine_remote_hits_total",
 		"Misses answered by the owning cluster replica via remote dispatch.", &e.remoteHits)
+	reg.CounterFunc("netpowerprop_netsim_path_table_hits_total",
+		"Simulator path lookups answered by an already filled path table entry.",
+		func() float64 { h, _ := netsim.PathTableCounts(); return float64(h) })
+	reg.CounterFunc("netpowerprop_netsim_path_table_misses_total",
+		"Simulator path lookups that enumerated the host pair's paths.",
+		func() float64 { _, m := netsim.PathTableCounts(); return float64(m) })
 	reg.CounterFunc("netpowerprop_engine_cache_evictions_total",
 		"Cache entries displaced by LRU pressure.",
 		func() float64 { return float64(e.cache.Evictions()) })

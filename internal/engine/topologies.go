@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"netpowerprop/internal/fattree"
 	"netpowerprop/internal/fault"
 	"netpowerprop/internal/netsim"
 	"netpowerprop/internal/report"
@@ -79,11 +80,16 @@ func topologiesRows(req Request) (*scenarioRows, error) {
 			return nil, err
 		}
 		name := names[idx]
-		top, design, err := topo.Build(name, topo.Spec{Hosts: hosts, LinkSpeed: speed})
+		entry, err := memo.get(topoKey{gen: name, hosts: hosts, speed: speed}, func() (*fattree.Topology, topo.Design, error) {
+			return topo.Build(name, topo.Spec{Hosts: hosts, LinkSpeed: speed})
+		})
 		if err != nil {
 			return nil, err
 		}
+		defer memo.trim()
+		top, design := entry.top, entry.design
 		s := netsim.New(top)
+		s.Paths = entry.paths
 		s.Routing = netsim.ConcentrateRouting
 		s.Models = SimModels()
 		hs := top.Hosts()

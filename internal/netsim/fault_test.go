@@ -198,7 +198,7 @@ func TestFaultDeterminismSerialParallel(t *testing.T) {
 	}
 }
 
-// Path-cache invalidation: after a link fails and recovers, cached per-epoch
+// Alive-filter invalidation: after a link fails and recovers, cached per-epoch
 // alive filters must refresh, so post-recovery flow rates match a from-scratch
 // fault-free simulation of the same span — and a Sim reused after a faulted
 // run behaves identically to a fresh one.
@@ -225,7 +225,7 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 		want := float64(clean.LinkTrace[l.ID].At(3))
 		got := float64(faulted.LinkTrace[l.ID].At(3))
 		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("link %d rate at t=3: %v, want %v (stale path cache?)", l.ID, got, want)
+			t.Errorf("link %d rate at t=3: %v, want %v (stale alive filter?)", l.ID, got, want)
 		}
 	}
 	// And during the outage the victim must be drained.
@@ -244,7 +244,7 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 		t.Error("Sim reuse after a faulted run differs from the fresh clean run")
 	}
 
-	// A fresh Sim with the same trace agrees with the warm-cache faulted
+	// A fresh Sim with the same trace agrees with the warm-table faulted
 	// run bit-for-bit.
 	s2 := New(top)
 	s2.Faults = tr
@@ -253,7 +253,7 @@ func TestFaultPathCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(faulted, fresh) {
-		t.Error("warm path cache changed faulted results")
+		t.Error("warm path table changed faulted results")
 	}
 }
 

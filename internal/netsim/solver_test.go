@@ -193,8 +193,9 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPathCacheReuse: repeated Runs on one Sim hit the path cache and the
-// outputs stay identical to a fresh Sim's.
+// TestPathCacheReuse: repeated Runs on one Sim route through its path
+// table without enumerating again, and the outputs stay identical to a
+// fresh Sim's.
 func TestPathCacheReuse(t *testing.T) {
 	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
 	if err != nil {
@@ -206,12 +207,17 @@ func TestPathCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.pathCache) == 0 {
-		t.Fatal("path cache not populated")
+	if s.Paths == nil || s.Paths.Bytes() <= NewPathTable(top).Bytes() {
+		t.Fatal("path table not populated")
 	}
+	hits0, misses0 := PathTableCounts()
 	second, err := s.Run(flows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hits1, misses1 := PathTableCounts()
+	if misses1 != misses0 || hits1-hits0 != uint64(len(flows)) {
+		t.Errorf("rerun: %d hits, %d misses; want %d hits, 0 misses", hits1-hits0, misses1-misses0, len(flows))
 	}
 	a, _ := json.Marshal(first)
 	b, _ := json.Marshal(second)

@@ -18,14 +18,13 @@ tmp="$(mktemp)"
 tmpdir="$(mktemp -d)"
 trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
 
-echo "running root benchmarks..." >&2
-go test -run=NONE -benchmem \
-	-bench 'BenchmarkFabricSim$|BenchmarkRunParallel$|BenchmarkMaxMin$|BenchmarkMaxMinDense$|BenchmarkTable3$|BenchmarkFig2$|BenchmarkTopoPaths|BenchmarkTopoSim' \
-	. >>"$tmp"
-echo "running event-queue benchmark..." >&2
-go test -run=NONE -benchmem -bench 'BenchmarkSchedule$' ./internal/sim >>"$tmp"
-echo "running serve-path benchmarks..." >&2
-go test -run=NONE -benchmem -bench 'BenchmarkServeBatch$|BenchmarkServeStream$' ./cmd/serve >>"$tmp"
+# scripts/benchmarks.txt is the one list of recorded benchmarks, shared
+# with scripts/ci.sh bench-guard.
+grep -v '^#' scripts/benchmarks.txt >"$tmpdir/list"
+while read -r pkg _ regex; do
+	echo "running $pkg benchmarks..." >&2
+	go test -run=NONE -benchmem -bench "$regex" "$pkg" </dev/null >>"$tmp"
+done <"$tmpdir/list"
 
 echo "running serve-capacity comparison (singles vs /v1/batch)..." >&2
 go build -o "$tmpdir/serve" ./cmd/serve
@@ -83,7 +82,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths); current = dense Solver + path cache + event free list + pooled path-enumeration scratch. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths); current = dense Solver + per-topology path tables + event free list + pooled path-enumeration scratch. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"

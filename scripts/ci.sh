@@ -103,10 +103,13 @@ step_metrics_smoke() {
 	"$tmp/expcheck" \
 		-probe "http://$addr/healthz" \
 		-probe "http://$addr/v1/whatif?gpus=64" \
+		-probe "http://$addr/v1/scenarios/faults?iters=1" \
 		-require netpowerprop_engine_cache_misses_total \
 		-require netpowerprop_engine_compute_duration_seconds \
 		-require netpowerprop_http_requests_total \
 		-require netpowerprop_jobs_submitted_total \
+		-require netpowerprop_netsim_path_table_hits_total \
+		-require netpowerprop_netsim_path_table_misses_total \
 		"http://$addr/metrics"
 }
 
@@ -154,22 +157,18 @@ step_bench_smoke() {
 	go test -run=NONE -bench . -benchtime=1x ./...
 }
 
-# Bench guard: a short measured run of the hot-path benchmarks compared
+# Bench guard: a short measured run of the benchmarks listed in
+# scripts/benchmarks.txt (the list scripts/bench.sh records) compared
 # against the frozen BENCH_netsim.json. The default x5 ns/op tolerance
 # absorbs runner noise; override with BENCH_TOLERANCE for slower machines.
 step_bench_guard() {
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go build -o "$tmp/benchguard" ./cmd/benchguard
-	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkFabricSim$|BenchmarkFabricSimCosimOff$|BenchmarkMaxMin$|BenchmarkMaxMinDense$|BenchmarkTopoPaths|BenchmarkTopoSim' \
-		. >"$tmp/bench.out"
-	go test -run=NONE -benchmem -benchtime=100x \
-		-bench 'BenchmarkServeBatch$|BenchmarkServeStream$' \
-		./cmd/serve >>"$tmp/bench.out"
-	go test -run=NONE -benchmem -benchtime=10000x \
-		-bench 'BenchmarkChaosDisarmed$' \
-		./internal/chaos >>"$tmp/bench.out"
+	grep -v '^#' scripts/benchmarks.txt >"$tmp/list"
+	while read -r pkg benchtime regex; do
+		go test -run=NONE -benchmem -benchtime="$benchtime" -bench "$regex" "$pkg" </dev/null >>"$tmp/bench.out" || return 1
+	done <"$tmp/list"
 	"$tmp/benchguard" -baseline BENCH_netsim.json "$tmp/bench.out"
 }
 
