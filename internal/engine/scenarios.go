@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"netpowerprop/internal/asic"
 	"netpowerprop/internal/chiplet"
@@ -130,7 +131,10 @@ var scenarios = map[string]scenarioSpec{
 // parallelRows computes n independent table rows concurrently, bounded by
 // GOMAXPROCS, and returns them in index order: the assembled table is
 // byte-identical to a serial loop, errors surface lowest-index first. The
-// row function must not share mutable state across indices.
+// row function must not share mutable state across indices. Workers claim
+// the next unclaimed row rather than a fixed share, so rows of uneven cost,
+// or a worker whose core is busy elsewhere, do not leave the others idle
+// while the request waits on one straggler.
 func parallelRows(n int, row func(i int) ([]string, error)) ([][]string, error) {
 	rows := make([][]string, n)
 	workers := runtime.GOMAXPROCS(0)
@@ -149,14 +153,15 @@ func parallelRows(n int, row func(i int) ([]string, error)) ([][]string, error) 
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				rows[i], errs[i] = safeRow(row, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

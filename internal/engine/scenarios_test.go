@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"netpowerprop/internal/topo"
 )
@@ -48,6 +51,33 @@ func TestParallelRowsErrorOrder(t *testing.T) {
 	})
 	if !errors.Is(err, errLow) {
 		t.Errorf("error = %v, want lowest-index error %v", err, errLow)
+	}
+}
+
+// TestParallelRowsStragglerDoesNotHoldRows: while one row is stuck, the
+// other workers take every remaining row. A fixed share per worker would
+// queue some rows behind the stuck one, and it would time out.
+func TestParallelRowsStragglerDoesNotHoldRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 8
+	var done atomic.Int64
+	others := make(chan struct{})
+	_, err := parallelRows(n, func(i int) ([]string, error) {
+		if i == 0 {
+			select {
+			case <-others:
+				return []string{"0"}, nil
+			case <-time.After(10 * time.Second):
+				return nil, fmt.Errorf("rows 1..%d still waiting behind row 0", n-1)
+			}
+		}
+		if done.Add(1) == n-1 {
+			close(others)
+		}
+		return []string{fmt.Sprint(i)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
