@@ -600,7 +600,7 @@ func cmdFabric(args []string, w io.Writer) error {
 	}
 	s := netsim.New(top)
 	s.Models = engine.SimModels()
-	res, err := s.RunParallel(flows, 0)
+	res, err := s.Run(flows)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -87,6 +88,8 @@ func TestNormalizeErrors(t *testing.T) {
 		{Op: OpFig3, Proportionalities: []float64{-0.5}},
 		{Op: OpFig4, FixedCommRatio: 2},
 		{Op: OpSweep, Steps: -3},
+		{Op: OpSweep, Steps: maxSweepSteps + 1},
+		{Op: OpSweep, Steps: math.MaxInt32},
 		{Op: OpCost, Price: ptr(-1.0)},
 		{Op: OpScenario, Scenario: "bogus"},
 		{Op: OpScenario, Scenario: "gating", Params: map[string]float64{"nosuch": 1}},

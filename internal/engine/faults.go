@@ -100,7 +100,7 @@ func faultsRows(req Request) (*scenarioRows, error) {
 		s.Paths = entry.paths
 		s.Faults = tr
 		s.Models = SimModels()
-		res, err := s.RunParallel(flows, 0)
+		res, err := s.Run(flows)
 		if err != nil {
 			return outcome{}, err
 		}

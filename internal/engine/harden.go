@@ -4,10 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
-
-	"netpowerprop/internal/obs"
 )
 
 // ErrOverloaded is returned (without computing anything) when the engine's
@@ -27,36 +24,6 @@ type PanicError struct {
 // Error describes the recovered panic.
 func (p *PanicError) Error() string {
 	return fmt.Sprintf("engine: computation panicked: %v", p.Val)
-}
-
-// safeCompute runs compute with panic containment: a panic on the compute
-// goroutine (or one surfaced as a PanicError by a row worker) becomes an
-// error and bumps the panic counters.
-func (e *Engine) safeCompute(ctx context.Context, req Request) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, &PanicError{Val: r, Stack: debug.Stack()}
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			e.panics.Add(1)
-			e.lastPanic.Store(time.Now().UnixNano())
-			e.log.Error("panic recovered in computation",
-				"trace", obs.TraceID(ctx), "op", string(req.Op), "panic", pe.Val)
-		}
-	}()
-	return compute(ctx, req)
-}
-
-// safeRow contains a panic from one table-row computation, so scenario
-// fan-out workers cannot crash the process either.
-func safeRow(row func(i int) ([]string, error), i int) (r []string, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, &PanicError{Val: v, Stack: debug.Stack()}
-		}
-	}()
-	return row(i)
 }
 
 // Health is a point-in-time serving-fitness classification.

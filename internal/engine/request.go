@@ -71,6 +71,12 @@ type Request struct {
 	Params   map[string]float64 `json:"params,omitempty"`
 }
 
+// maxSweepSteps bounds a sweep's points: each is one row, and the
+// assembled result holds them all. CI's largest sweep is 20,000 steps
+// (the jobs runs in scripts/ci.sh); the bound leaves 50x headroom while
+// refusing requests like steps=2000000000, which would ask for ~160 GB.
+const maxSweepSteps = 1_000_000
+
 // ptr returns a pointer to v, for filling optional Request fields.
 func ptr(v float64) *float64 { return &v }
 
@@ -185,6 +191,9 @@ func (r Request) Normalize() (Request, error) {
 		}
 		if n.Steps < 1 {
 			return Request{}, fmt.Errorf("engine: steps %d must be positive", n.Steps)
+		}
+		if n.Steps > maxSweepSteps {
+			return Request{}, fmt.Errorf("engine: steps %d above the limit of %d", n.Steps, maxSweepSteps)
 		}
 	case OpCost:
 		price := orDefault(r.Price, 0.13)

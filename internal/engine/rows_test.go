@@ -8,8 +8,8 @@ import (
 )
 
 // planParityRequests spans every planner: the per-point sweep split, the
-// per-bandwidth Table 3 split, the whole-result fallback, and (added in
-// TestRowPlanParityScenarios) every row-structured scenario.
+// per-bandwidth Table 3 split, the one-row whole-result plans, and (in
+// TestRowPlanParityScenarios) every registered scenario.
 func planParityRequests() []Request {
 	return []Request{
 		{Op: OpSweep, Steps: 6},
@@ -40,8 +40,9 @@ func execPlan(t *testing.T, e *Engine, p *RowPlan) *Result {
 }
 
 // TestRowPlanParity: executing a request row by row — through the journal
-// payload round trip — must produce exactly the bytes the synchronous
-// path produces. This is the property that makes checkpoint/resume safe.
+// payload round trip — must produce exactly the bytes Do produces from
+// the same rows kept typed in memory. This is the property that makes
+// checkpoint/resume safe.
 func TestRowPlanParity(t *testing.T) {
 	for _, req := range planParityRequests() {
 		req := req
@@ -65,8 +66,8 @@ func TestRowPlanParity(t *testing.T) {
 	}
 }
 
-// TestRowPlanParityScenarios: every registered scenario, row-structured or
-// not, assembles to the synchronous bytes.
+// TestRowPlanParityScenarios: every registered scenario, one-row or not,
+// assembles from journal payloads to the bytes Do produces.
 func TestRowPlanParityScenarios(t *testing.T) {
 	for name := range scenarios {
 		name := name
@@ -92,29 +93,54 @@ func TestRowPlanParityScenarios(t *testing.T) {
 	}
 }
 
-// TestRowPlanRowStructure: the splits are real (not single-row fallbacks)
-// where the op has row structure.
+// TestRowPlanRowStructure pins every op's and every registered scenario's
+// row count at default parameters. Jobs refuse to resume a journal whose
+// row count changed, and the benchmark's rows_per_s is derived from these
+// counts, so a change here is a journal-format change.
 func TestRowPlanRowStructure(t *testing.T) {
 	e := New(Options{})
 	cases := []struct {
 		req  Request
 		rows int
 	}{
-		{Request{Op: OpSweep, Steps: 6}, 7},
 		{Request{Op: OpWhatIf}, 1},
+		{Request{Op: OpTable3}, 5},
+		{Request{Op: OpFig3}, 1},
+		{Request{Op: OpFig4}, 1},
+		{Request{Op: OpSweep}, 11},
+		{Request{Op: OpSweep, Steps: 6}, 7},
+		{Request{Op: OpCost}, 1},
 		{Request{Op: OpScenario, Scenario: "chaos", Params: map[string]float64{"rows": 5}}, 5},
+	}
+	scenarioRows := map[string]int{
+		"chaos": 1, "chiplet": 1, "eee": 6, "faults": 6, "gating": 1, "parking": 3,
+		"rateadapt": 5, "ratelink": 6, "scheduler": 1, "summary": 1, "topologies": 8,
+	}
+	if len(scenarioRows) != len(scenarios) {
+		t.Errorf("%d scenarios pinned, %d registered", len(scenarioRows), len(scenarios))
+	}
+	for _, name := range ScenarioNames() {
+		rows, ok := scenarioRows[name]
+		if !ok {
+			t.Errorf("scenario %q has no pinned row count", name)
+			continue
+		}
+		cases = append(cases, struct {
+			req  Request
+			rows int
+		}{Request{Op: OpScenario, Scenario: name}, rows})
 	}
 	for _, c := range cases {
 		p, err := e.Plan(c.req)
 		if err != nil {
-			t.Fatalf("Plan(%v): %v", c.req.Op, err)
+			t.Fatalf("Plan(%v %s): %v", c.req.Op, c.req.Scenario, err)
 		}
 		if p.Rows() != c.rows {
-			t.Errorf("Plan(%v).Rows() = %d, want %d", c.req.Op, p.Rows(), c.rows)
+			t.Errorf("Plan(%v %s).Rows() = %d, want %d", c.req.Op, c.req.Scenario, p.Rows(), c.rows)
 		}
 		norm, _ := c.req.Normalize()
 		if p.Key() != norm.Key() {
-			t.Errorf("Plan(%v).Key() != canonical key", c.req.Op)
+			t.Errorf("Plan(%v %s).Key() != canonical key", c.req.Op, c.req.Scenario)
 		}
 	}
 }

@@ -13,24 +13,27 @@ import (
 	"netpowerprop/internal/topo"
 )
 
-// TestParallelRowsMatchesSerial: the concurrent row builder must assemble
-// exactly the table a serial loop would, for row counts below, at, and
-// above the worker count.
+// TestParallelRowsMatchesSerial: the concurrent row fan-out must visit
+// every row exactly once, for row counts below, at, and above the worker
+// count, so a plan's typed rows assemble exactly as a serial loop's.
 func TestParallelRowsMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 17, 64} {
-		row := func(i int) ([]string, error) {
-			return []string{fmt.Sprintf("row-%d", i), fmt.Sprintf("%d", i*i)}, nil
-		}
 		want := make([][]string, n)
-		for i := 0; i < n; i++ {
-			want[i], _ = row(i)
+		for i := range want {
+			want[i] = []string{fmt.Sprintf("row-%d", i), fmt.Sprintf("%d", i*i)}
 		}
-		got, err := parallelRows(n, row)
+		got := make([][]string, n)
+		var visits atomic.Int64
+		err := parallelRows(n, func(i int) error {
+			visits.Add(1)
+			got[i] = []string{fmt.Sprintf("row-%d", i), fmt.Sprintf("%d", i*i)}
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: parallel rows differ from serial:\ngot  %v\nwant %v", n, got, want)
+		if !reflect.DeepEqual(got, want) || visits.Load() != int64(n) {
+			t.Errorf("n=%d: %d visits, parallel rows differ from serial:\ngot  %v\nwant %v", n, visits.Load(), got, want)
 		}
 	}
 }
@@ -40,17 +43,38 @@ func TestParallelRowsMatchesSerial(t *testing.T) {
 func TestParallelRowsErrorOrder(t *testing.T) {
 	errLow := errors.New("row 2 failed")
 	errHigh := errors.New("row 9 failed")
-	_, err := parallelRows(12, func(i int) ([]string, error) {
+	err := parallelRows(12, func(i int) error {
 		switch i {
 		case 2:
-			return nil, errLow
+			return errLow
 		case 9:
-			return nil, errHigh
+			return errHigh
 		}
-		return []string{"ok"}, nil
+		return nil
 	})
 	if !errors.Is(err, errLow) {
 		t.Errorf("error = %v, want lowest-index error %v", err, errLow)
+	}
+}
+
+// TestParallelRowsStopsAfterError: once a row fails, no further rows are
+// claimed, so a canceled request does not walk the rest of a long plan.
+func TestParallelRowsStopsAfterError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 100000
+	var ran atomic.Int64
+	err := parallelRows(n, func(i int) error {
+		ran.Add(1)
+		if i >= 10 {
+			return context.Canceled
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := ran.Load(); got > 1000 {
+		t.Errorf("%d of %d rows ran after the first failure", got, n)
 	}
 }
 
@@ -62,19 +86,19 @@ func TestParallelRowsStragglerDoesNotHoldRows(t *testing.T) {
 	const n = 8
 	var done atomic.Int64
 	others := make(chan struct{})
-	_, err := parallelRows(n, func(i int) ([]string, error) {
+	err := parallelRows(n, func(i int) error {
 		if i == 0 {
 			select {
 			case <-others:
-				return []string{"0"}, nil
+				return nil
 			case <-time.After(10 * time.Second):
-				return nil, fmt.Errorf("rows 1..%d still waiting behind row 0", n-1)
+				return fmt.Errorf("rows 1..%d still waiting behind row 0", n-1)
 			}
 		}
 		if done.Add(1) == n-1 {
 			close(others)
 		}
-		return []string{fmt.Sprint(i)}, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +117,11 @@ func TestScenariosParallelDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := compute(context.Background(), req)
+			first, err := runPlan(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			second, err := compute(context.Background(), req)
+			second, err := runPlan(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +142,7 @@ func TestTopologiesScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := compute(context.Background(), req)
+	res, err := runPlan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +182,7 @@ func TestTopologiesRejects(t *testing.T) {
 		if err != nil {
 			continue // rejected at normalization is fine too
 		}
-		if _, err := compute(context.Background(), req); err == nil {
+		if _, err := runPlan(context.Background(), req); err == nil {
 			t.Errorf("params %v accepted", params)
 		}
 	}

@@ -109,7 +109,7 @@ func topologiesRows(req Request) (*scenarioRows, error) {
 				offered += float64(f.Demand) * float64(f.Duration())
 			}
 			s.Faults = tr
-			res, err := s.RunParallel(flows, 0)
+			res, err := s.Run(flows)
 			if err != nil {
 				return nil, 0, 0, err
 			}

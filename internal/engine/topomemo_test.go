@@ -31,7 +31,7 @@ func answer(t *testing.T, name string, params map[string]float64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := compute(context.Background(), req)
+	res, err := runPlan(context.Background(), req)
 	if err != nil {
 		t.Fatalf("%s %v: %v", name, params, err)
 	}

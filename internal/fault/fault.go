@@ -7,7 +7,7 @@
 // internal/netsim consumes to reroute flows and reduce solver capacities.
 // Everything in this package is deterministic for a fixed seed: the same
 // trace compiles to the same timeline on every run, which is what keeps
-// seeded fault scenarios bit-reproducible across Run/RunParallel.
+// seeded fault scenarios bit-reproducible across runs.
 package fault
 
 import (

@@ -344,22 +344,15 @@ func (s *scriptExec) Plan(req engine.Request) (*engine.RowPlan, error) {
 		return nil, err
 	}
 	return engine.NewRowPlan(norm, s.rows,
-		func(ctx context.Context, i int) (json.RawMessage, error) {
-			return json.Marshal(fmt.Sprintf("row-%d", i))
+		func(ctx context.Context, i int) (string, error) {
+			return fmt.Sprintf("row-%d", i), nil
 		},
-		func(rows []json.RawMessage, failed []engine.RowError) (*engine.Result, error) {
+		func(cells []string) *engine.Result {
 			t := &engine.Table{Title: "script"}
-			for _, raw := range rows {
-				if raw == nil {
-					continue
-				}
-				var cell string
-				if err := json.Unmarshal(raw, &cell); err != nil {
-					return nil, err
-				}
+			for _, cell := range cells {
 				t.Rows = append(t.Rows, []string{cell})
 			}
-			return &engine.Result{Op: norm.Op, Request: norm, Table: t}, nil
+			return &engine.Result{Op: norm.Op, Request: norm, Table: t}
 		}), nil
 }
 

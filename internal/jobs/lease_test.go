@@ -234,11 +234,13 @@ func TestExpiredLeaseIsAdopted(t *testing.T) {
 }
 
 // gatedExec blocks configured rows until the test opens their gate, so
-// a drain can be interleaved at an exact row boundary.
+// a drain can be interleaved at an exact row boundary. entered receives a
+// gated row's index once the runner is inside that row.
 type gatedExec struct {
 	*scriptExec
-	mu    sync.Mutex
-	gates map[int]chan struct{}
+	mu      sync.Mutex
+	gates   map[int]chan struct{}
+	entered chan int
 }
 
 func (g *gatedExec) ExecRow(ctx context.Context, p *engine.RowPlan, i int) (json.RawMessage, error) {
@@ -246,6 +248,7 @@ func (g *gatedExec) ExecRow(ctx context.Context, p *engine.RowPlan, i int) (json
 	ch := g.gates[i]
 	g.mu.Unlock()
 	if ch != nil {
+		g.entered <- i
 		select {
 		case <-ch:
 		case <-ctx.Done():
@@ -261,22 +264,13 @@ func (g *gatedExec) ExecRow(ctx context.Context, p *engine.RowPlan, i int) (json
 func TestDrainHandoffReleasesLease(t *testing.T) {
 	golden := goldenRun(t)
 	dir := t.TempDir()
-	row0 := make(chan struct{})
 	gate1 := make(chan struct{})
 	exec := &gatedExec{
 		scriptExec: newScriptExec(3, nil),
 		gates:      map[int]chan struct{}{1: gate1},
+		entered:    make(chan int, 1),
 	}
-	var once sync.Once
-	a, err := Open(Options{
-		Dir: dir, Exec: exec, Owner: "a",
-		OnRowCheckpoint: func(id string, r int) error {
-			if r == 0 {
-				once.Do(func() { close(row0) })
-			}
-			return nil
-		},
-	})
+	a, err := Open(Options{Dir: dir, Exec: exec, Owner: "a"})
 	if err != nil {
 		t.Fatalf("Open A: %v", err)
 	}
@@ -284,7 +278,10 @@ func TestDrainHandoffReleasesLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	<-row0 // row 0 durable; runner is now blocked on row 1's gate
+	// Row 1 runs only after row 0 is durable, and the runner checks for
+	// a drain before each row, not during one: once it is inside row 1,
+	// a drain must let row 1 finish.
+	<-exec.entered
 	closed := make(chan error, 1)
 	go func() { closed <- a.Close(context.Background()) }()
 	// Wait for the drain signal to be visible, then let row 1 finish:

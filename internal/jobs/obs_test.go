@@ -25,6 +25,19 @@ outer:
 	return out
 }
 
+// waitDone waits until the job is done and its runner has returned. The
+// state turns done before the runner logs "job done", so waiting on the
+// state alone can read the log too early.
+func waitDone(t *testing.T, m *Manager, id string) {
+	t.Helper()
+	waitState(t, m, id, StateDone)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := m.Wait(ctx, id); err != nil {
+		t.Fatalf("Wait(%s): %v", id, err)
+	}
+}
+
 // TestRetryEventsCarrySubmitTrace drives a flaky row through retries with
 // a sink-backed logger and checks every lifecycle line — submit, retry,
 // checkpoint, done — carries the submitting request's trace ID.
@@ -43,7 +56,7 @@ func TestRetryEventsCarrySubmitTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitState(t, m, snap.ID, StateDone)
+	waitDone(t, m, snap.ID)
 
 	lines := sink.Lines()
 	for _, event := range []string{
@@ -101,7 +114,7 @@ func TestResumeEventsCarryOriginalTrace(t *testing.T) {
 	if n := m2.ResumeAll(); n != 1 {
 		t.Fatalf("ResumeAll resumed %d jobs, want 1", n)
 	}
-	waitState(t, m2, snap.ID, StateDone)
+	waitDone(t, m2, snap.ID)
 
 	lines := sink.Lines()
 	for _, event := range []string{

@@ -151,8 +151,9 @@ func TestFaultSwitchFailure(t *testing.T) {
 }
 
 // Seeded fault scenarios must be bit-reproducible: the same generated trace
-// yields identical results across repeated runs and across Run/RunParallel.
-func TestFaultDeterminismSerialParallel(t *testing.T) {
+// yields identical results across repeated runs, on fresh Sims and on one
+// Sim reused between faulted and clean runs.
+func TestFaultDeterminismReusedSim(t *testing.T) {
 	top := smallTopo(t)
 	flows := faultFlows(top, 30*units.Gbps)
 	var optical []int
@@ -165,35 +166,38 @@ func TestFaultDeterminismSerialParallel(t *testing.T) {
 		Horizon: 4, Links: optical, Flaps: 8, MTTR: 0.5,
 		PermanentFailures: 1, WakeStuckProb: 0.5, WakeStuckExtra: 0.4,
 	}
-	run := func(workers int) *Result {
+	run := func(s *Sim, faulted bool) *Result {
 		t.Helper()
-		trace, err := fault.Generate(cfg, 42)
-		if err != nil {
-			t.Fatal(err)
+		s.Faults = nil
+		if faulted {
+			trace, err := fault.Generate(cfg, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Faults = trace
 		}
-		s := New(top)
-		s.Faults = trace
-		var res *Result
-		if workers == 1 {
-			res, err = s.Run(flows)
-		} else {
-			res, err = s.RunParallel(flows, workers)
-		}
+		res, err := s.Run(flows)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(1)
-	if serial.Faults == nil || serial.Faults.Events == 0 {
-		t.Fatalf("generated trace produced no in-horizon events: %+v", serial.Faults)
+	want := run(New(top), true)
+	if want.Faults == nil || want.Faults.Events == 0 {
+		t.Fatalf("generated trace produced no in-horizon events: %+v", want.Faults)
 	}
-	if !reflect.DeepEqual(serial, run(1)) {
-		t.Error("repeated serial runs differ for the same seed")
+	if !reflect.DeepEqual(want, run(New(top), true)) {
+		t.Error("repeated fresh runs differ for the same seed")
 	}
-	for _, w := range []int{2, 4, 7} {
-		if !reflect.DeepEqual(serial, run(w)) {
-			t.Errorf("RunParallel(%d) differs from Run", w)
+	clean := run(New(top), false)
+	reused := New(top)
+	for i, faulted := range []bool{true, false, true, true, false} {
+		got := run(reused, faulted)
+		if faulted && !reflect.DeepEqual(want, got) {
+			t.Errorf("reused run %d (faulted) differs from a fresh Sim", i)
+		}
+		if !faulted && !reflect.DeepEqual(clean, got) {
+			t.Errorf("reused run %d (clean) differs from a fresh Sim", i)
 		}
 	}
 }

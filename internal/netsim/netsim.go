@@ -2,11 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/fattree"
@@ -78,8 +75,8 @@ type Sim struct {
 	slots map[*pathSet]int32
 	alive []aliveFilter
 
-	// Scratch reused by the serial run path so repeated Runs on one Sim
-	// allocate nothing in the solve loop.
+	// Scratch reused so repeated Runs on one Sim allocate nothing in the
+	// solve loop.
 	scratch runScratch
 }
 
@@ -89,14 +86,11 @@ type aliveFilter struct {
 	idx   []int
 }
 
-// runScratch is the per-worker solve state.
+// runScratch is the solve state a Sim reuses across runs.
 type runScratch struct {
 	solver  Solver
 	demands []float64
 	paths   [][]int
-	// slots maps each solver row back to its position in the interval's
-	// active-flow snapshot; stalled flows are excluded from the solve.
-	slots []int
 }
 
 // New returns a simulator over a topology.
@@ -368,27 +362,15 @@ type interval struct {
 	off, n int
 }
 
+// RunParallel is Run. It stays only because perfbench/trace.go calls it,
+// and is removed with the next change to the benchmark.
+func (s *Sim) RunParallel(flows []traffic.Flow, _ int) (*Result, error) { return s.Run(flows) }
+
 // Run simulates the flows and returns utilization traces. The horizon is
 // the latest flow end time (0 horizon is an error: nothing to simulate).
+// Intervals are solved serially: the engine already fans a request's rows
+// out across cores, and each row runs its simulations with Run.
 func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
-	return s.run(flows, 1)
-}
-
-// RunParallel is Run with the per-interval fairness solves fanned across a
-// worker pool (workers <= 0 selects GOMAXPROCS). Interval solves are
-// independent; delivered bits, rate sums, and traces are still accumulated
-// serially in time order, so the output is byte-identical to Run. Workers
-// claim the next unsolved interval rather than a fixed share, so intervals
-// of uneven size, or a worker whose core is busy elsewhere, do not leave
-// the others idle.
-func (s *Sim) RunParallel(flows []traffic.Flow, workers int) (*Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return s.run(flows, workers)
-}
-
-func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	if s.Top == nil {
 		return nil, fmt.Errorf("netsim: nil topology")
 	}
@@ -549,92 +531,10 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 		}
 	}
 
-	// Solve every interval's fairness problem. rateArena mirrors activeIdx:
-	// the rate of activeIdx[i]'s flow during its interval lands in
-	// rateArena[i], so workers write disjoint ranges. Stalled flows are
-	// excluded from the solve and keep the arena's zero rate.
-	rateArena := make([]float64, len(activeIdx))
-	solve := func(sc *runScratch, k int) error {
-		iv := intervals[k]
-		if iv.n == 0 {
-			return nil
-		}
-		epoch := epochOf[k]
-		idxs := activeIdx[iv.off : iv.off+iv.n]
-		if cap(sc.demands) < iv.n {
-			sc.demands = make([]float64, 0, iv.n)
-			sc.paths = make([][]int, 0, iv.n)
-			sc.slots = make([]int, 0, iv.n)
-		}
-		sc.demands = sc.demands[:0]
-		sc.paths = sc.paths[:0]
-		sc.slots = sc.slots[:0]
-		for j, fi := range idxs {
-			rt := &states[fi].routes[epoch-states[fi].lo]
-			if rt.stalled {
-				continue
-			}
-			sc.demands = append(sc.demands, float64(states[fi].spec.Demand))
-			sc.paths = append(sc.paths, states[fi].ps.paths[rt.path])
-			sc.slots = append(sc.slots, j)
-		}
-		if len(sc.demands) == 0 {
-			return nil
-		}
-		rates, err := sc.solver.Solve(sc.demands, sc.paths, epochCaps[epoch])
-		if err != nil {
-			return err
-		}
-		for r, j := range sc.slots {
-			rateArena[iv.off+j] = rates[r]
-		}
-		return nil
-	}
-	if workers <= 1 || len(intervals) <= 1 {
-		for k := range intervals {
-			if err := solve(&s.scratch, k); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if workers > len(intervals) {
-			workers = len(intervals)
-		}
-		// A worker stops at its first failing interval. Intervals are
-		// claimed in order, so every interval below a failing one was
-		// attempted, and the lowest failing one is the error Run returns.
-		errs := make([]error, workers)
-		errAt := make([]int, workers)
-		var wg sync.WaitGroup
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var sc runScratch
-				for k := int(next.Add(1)) - 1; k < len(intervals); k = int(next.Add(1)) - 1 {
-					if err := solve(&sc, k); err != nil {
-						errs[w], errAt[w] = err, k
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		first := -1
-		for w, err := range errs {
-			if err != nil && (first < 0 || errAt[w] < errAt[first]) {
-				first = w
-			}
-		}
-		if first >= 0 {
-			return nil, errs[first]
-		}
-	}
-
-	// Accumulate delivered bits, per-link and per-switch rate sums, and
-	// traces serially in time order: the summation order is identical for
-	// every worker count, keeping serial and parallel output byte-identical.
+	// Walk the intervals in time order: solve each one's fairness problem,
+	// then accumulate delivered bits, per-link and per-switch rate sums,
+	// and traces. Stalled flows are excluded from the solve and accrue
+	// downtime instead.
 	res := &Result{
 		Horizon:     horizon,
 		LinkTrace:   make(map[int]Trace, len(s.Top.Links)),
@@ -649,24 +549,37 @@ func (s *Sim) run(flows []traffic.Flow, workers int) (*Result, error) {
 	}
 	linkRate := make([]float64, len(s.Top.Links))
 	switchRate := make([]float64, len(s.Top.Nodes))
+	sc := &s.scratch
 	for k, iv := range intervals {
-		for i := range linkRate {
-			linkRate[i] = 0
-		}
-		for i := range switchRate {
-			switchRate[i] = 0
-		}
+		clear(linkRate)
+		clear(switchRate)
 		epoch := epochOf[k]
+		idxs := activeIdx[iv.off : iv.off+iv.n]
+		sc.demands, sc.paths = sc.demands[:0], sc.paths[:0]
+		for _, fi := range idxs {
+			st := &states[fi]
+			if rt := &st.routes[epoch-st.lo]; !rt.stalled {
+				sc.demands = append(sc.demands, float64(st.spec.Demand))
+				sc.paths = append(sc.paths, st.ps.paths[rt.path])
+			}
+		}
+		var rates []float64
+		if len(sc.demands) > 0 {
+			if rates, err = sc.solver.Solve(sc.demands, sc.paths, epochCaps[epoch]); err != nil {
+				return nil, err
+			}
+		}
 		dt := float64(iv.t1 - iv.t0)
-		for j := 0; j < iv.n; j++ {
-			fi := activeIdx[iv.off+j]
+		r := 0
+		for _, fi := range idxs {
 			st := &states[fi]
 			rt := &st.routes[epoch-st.lo]
 			if rt.stalled {
 				st.downtime += iv.t1 - iv.t0
 				continue
 			}
-			rate := rateArena[iv.off+j]
+			rate := rates[r]
+			r++
 			st.delivered += rate * dt
 			for _, l := range st.ps.paths[rt.path] {
 				linkRate[l] += rate

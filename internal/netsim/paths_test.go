@@ -85,9 +85,9 @@ func (c sharingCase) configure(s *netsim.Sim) *netsim.Sim {
 
 // TestSharedPathTableMatchesPrivate: goroutines running Sims that share
 // one PathTable per topology get exactly the results of fresh Sims with
-// private tables, whichever goroutine fills a pair first. Each goroutine
-// reuses one Sim per topology across cases in its own order, so routing
-// state left by one run must not leak into the next. Under -race (ci.sh
+// private tables, whichever goroutine fills a pair first. Half the
+// goroutines reuse one Sim per topology across cases in their own order,
+// so routing state left by one run must not leak into the next. Under -race (ci.sh
 // test) it also shows published entries are read without data races.
 func TestSharedPathTableMatchesPrivate(t *testing.T) {
 	cases := sharingCases(t)
@@ -118,20 +118,15 @@ func TestSharedPathTableMatchesPrivate(t *testing.T) {
 			for k := range cases {
 				i := (g*5 + k) % len(cases)
 				c := cases[i]
+				// Odd goroutines reuse one Sim per topology; even ones
+				// take a fresh Sim over the shared table for every case.
 				s := sims[c.top]
-				if s == nil {
+				if s == nil || g%2 == 0 {
 					s = netsim.New(c.top)
 					s.Paths = tables[c.top]
 					sims[c.top] = s
 				}
-				c.configure(s)
-				var got *netsim.Result
-				var err error
-				if g%2 == 0 {
-					got, err = s.Run(c.flows)
-				} else {
-					got, err = s.RunParallel(c.flows, 2)
-				}
+				got, err := c.configure(s).Run(c.flows)
 				if err != nil {
 					t.Errorf("goroutine %d, %s: %v", g, c.label, err)
 					return

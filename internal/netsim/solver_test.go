@@ -161,34 +161,42 @@ func parallelFlows(t *testing.T, top *fattree.Topology) []traffic.Flow {
 	return flows
 }
 
-// TestRunParallelByteIdentical: RunParallel must reproduce Run bit-for-bit
-// at any worker count — same rates, delivered bits, and traces. JSON is
-// the byte-level comparator: identical bytes require identical float bits.
-func TestRunParallelByteIdentical(t *testing.T) {
+// TestRunReusedSimByteIdentical: a Sim reused across runs of different
+// flow sets must reproduce a fresh Sim's Run bit-for-bit — same rates,
+// delivered bits, and traces — so scratch and routing state left by one
+// run cannot leak into the next. JSON is the byte-level comparator:
+// identical bytes require identical float bits.
+func TestRunReusedSimByteIdentical(t *testing.T) {
 	top, err := fattree.BuildThreeTier(4, 100*units.Gbps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flows := parallelFlows(t, top)
-	serial, err := New(top).Run(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 7} {
-		par, err := New(top).RunParallel(flows, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		got, err := json.Marshal(par)
+	fresh := func(fs []traffic.Flow) []byte {
+		t.Helper()
+		res, err := New(top).Run(fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d output differs from serial Run", workers)
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	sets := [][]traffic.Flow{flows, flows[:3], flows[5:], flows}
+	reused := New(top)
+	for i, fs := range sets {
+		res, err := reused.Run(fs)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fresh(fs)) {
+			t.Errorf("run %d (%d flows) on a reused Sim differs from a fresh Sim", i, len(fs))
 		}
 	}
 }

@@ -30,7 +30,7 @@ func InstallPaths(t *fattree.Topology, slack int) {
 // field and queue, the DFS on-path marker, and the current-path stack.
 // They are reused across host pairs through scratchPool: path enumeration
 // runs for every ordered pair of a topology (and concurrently from
-// RunParallel workers), so per-call allocation of these O(nodes) slices
+// simulations sharing one path table), so per-call allocation of these O(nodes) slices
 // dominated the profile. Only the returned paths (and their shared arena)
 // are allocated per call, because they escape to the caller.
 type scratch struct {

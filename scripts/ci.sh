@@ -31,6 +31,13 @@ step_test() {
 	go test -race ./...
 }
 
+# Perfbench: the benchmark harness is its own module, so the root
+# `go test ./...` never builds it; it imports the engine and netsim APIs
+# the benchmark drives, and this step catches a refactor that breaks them.
+step_perfbench() {
+	(cd perfbench && go vet ./... && go test ./...)
+}
+
 # Chaos smoke: the fault-injection and panic-containment paths, under the
 # race detector.
 step_chaos_smoke() {
@@ -587,6 +594,7 @@ run_step() {
 	vet) step_vet ;;
 	build) step_build ;;
 	test) step_test ;;
+	perfbench) step_perfbench ;;
 	chaos-smoke) step_chaos_smoke ;;
 	jobs-race) step_jobs_race ;;
 	fault-determinism) step_fault_determinism ;;
@@ -602,7 +610,7 @@ run_step() {
 	fuzz-smoke) step_fuzz_smoke ;;
 	*)
 		echo "unknown step: $1" >&2
-		echo "steps: fmt vet build test chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke all" >&2
+		echo "steps: fmt vet build test perfbench chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke all" >&2
 		return 2
 		;;
 	esac
@@ -613,7 +621,7 @@ if [ $# -eq 0 ]; then
 fi
 
 if [ "$1" = all ]; then
-	for s in fmt vet build test chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke; do
+	for s in fmt vet build test perfbench chaos-smoke jobs-race fault-determinism topologies-determinism cosim-determinism kill-resume-smoke metrics-smoke bench-smoke bench-guard loadgen-smoke cluster-smoke chaos-matrix fuzz-smoke; do
 		# Steps that set EXIT traps get a subshell so temp dirs clean up
 		# per step rather than at script exit.
 		(run_step "$s")
