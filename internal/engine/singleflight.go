@@ -7,8 +7,10 @@ import (
 
 // flightGroup deduplicates concurrent computations of the same key: the
 // first caller computes, later callers wait for the leader's result. A
-// waiter whose context expires stops waiting, but the leader's
-// computation continues (and still populates the cache).
+// waiter whose context expires stops waiting; the computation runs under
+// the leader's context, so it stops between rows (and caches nothing)
+// once the leader's context is done, and waiters still waiting get the
+// leader's error.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
