@@ -314,6 +314,9 @@ func BenchmarkFabricSim(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := netsim.New(top)
+	if _, err := s.Run(flows); err != nil { // fill the path table and the run-state pool
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Run(flows); err != nil {
@@ -340,6 +343,9 @@ func BenchmarkFabricSimCosimOff(b *testing.B) {
 	}
 	s := netsim.New(top)
 	s.Models = nil
+	if _, err := s.Run(flows); err != nil { // fill the path table and the run-state pool
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := s.Run(flows)

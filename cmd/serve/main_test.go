@@ -267,6 +267,12 @@ func TestBadRequests(t *testing.T) {
 		"/v1/sweep?steps=" + strconv.Itoa(math.MaxInt32),
 		"/v1/scenarios/rateadapt?samples=-1",
 		"/v1/scenarios/parking?samples=-1",
+		"/v1/scenarios/rateadapt?samples=100001",
+		"/v1/scenarios/parking?samples=2147483647",
+		"/v1/scenarios/faults?radix=10",
+		"/v1/scenarios/faults?iters=17",
+		"/v1/scenarios/topologies?hosts=97",
+		"/v1/scenarios/topologies?iters=1e9",
 	} {
 		resp, err := http.Get(srv.URL + url)
 		if err != nil {

@@ -93,6 +93,12 @@ func TestNormalizeErrors(t *testing.T) {
 		{Op: OpCost, Price: ptr(-1.0)},
 		{Op: OpScenario, Scenario: "bogus"},
 		{Op: OpScenario, Scenario: "gating", Params: map[string]float64{"nosuch": 1}},
+		{Op: OpScenario, Scenario: "faults", Params: map[string]float64{"radix": maxFaultRadix + 2}},
+		{Op: OpScenario, Scenario: "faults", Params: map[string]float64{"iters": maxScenarioIters + 1}},
+		{Op: OpScenario, Scenario: "topologies", Params: map[string]float64{"hosts": maxTopologyHosts + 1}},
+		{Op: OpScenario, Scenario: "topologies", Params: map[string]float64{"iters": math.MaxInt32}},
+		{Op: OpScenario, Scenario: "rateadapt", Params: map[string]float64{"samples": maxScenarioSamples + 1}},
+		{Op: OpScenario, Scenario: "parking", Params: map[string]float64{"samples": math.Inf(1)}},
 	}
 	for _, req := range bad {
 		if _, err := req.Normalize(); err == nil {

@@ -83,6 +83,43 @@ func TestNonPositiveSamplesRejected(t *testing.T) {
 	}
 }
 
+// Size parameters above their bounds are refused by Normalize, so Do and
+// DoBatch answer an error naming the parameter before any planner
+// allocates for them; a value at its bound normalizes.
+func TestOversizedScenarioRejected(t *testing.T) {
+	e := New(Options{Workers: 2})
+	for _, c := range []struct {
+		scenario, param string
+		limit           float64
+	}{
+		{"faults", "radix", maxFaultRadix},
+		{"faults", "iters", maxScenarioIters},
+		{"topologies", "hosts", maxTopologyHosts},
+		{"topologies", "iters", maxScenarioIters},
+		{"rateadapt", "samples", maxScenarioSamples},
+		{"parking", "samples", maxScenarioSamples},
+	} {
+		at := Request{Op: OpScenario, Scenario: c.scenario, Params: map[string]float64{c.param: c.limit}}
+		if _, err := at.Normalize(); err != nil {
+			t.Errorf("%s %s=%v (the bound): %v", c.scenario, c.param, c.limit, err)
+		}
+		for _, v := range []float64{c.limit + 1, 1e12} {
+			req := Request{Op: OpScenario, Scenario: c.scenario, Params: map[string]float64{c.param: v}}
+			_, _, err := e.Do(context.Background(), req)
+			if err == nil || !strings.Contains(err.Error(), c.param) {
+				t.Errorf("%s %s=%v: err = %v, want a %s error", c.scenario, c.param, v, err, c.param)
+			}
+			items := e.DoBatch(context.Background(), []Request{req})
+			if err := items[0].Err; err == nil || !strings.Contains(err.Error(), c.param) {
+				t.Errorf("%s %s=%v: DoBatch err = %v, want a %s error", c.scenario, c.param, v, err, c.param)
+			}
+		}
+	}
+	if m := e.Metrics(); m.Panics != 0 {
+		t.Errorf("panics = %d, want 0", m.Panics)
+	}
+}
+
 // A planner that panics is contained like a panicking row: Do returns a
 // *PanicError, the panic is counted once, and the engine keeps serving.
 func TestPanicInPlanner(t *testing.T) {

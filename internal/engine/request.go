@@ -228,6 +228,16 @@ func (r Request) normalizeScenario() (Request, error) {
 		}
 		params[k] = v
 	}
+	limited := make([]string, 0, len(spec.limits))
+	for k := range spec.limits {
+		limited = append(limited, k)
+	}
+	sort.Strings(limited)
+	for _, k := range limited {
+		if v, limit := params[k], spec.limits[k]; v > limit {
+			return Request{}, fmt.Errorf("engine: scenario %q parameter %q = %v above the limit of %v", r.Scenario, k, v, limit)
+		}
+	}
 	if len(params) > 0 {
 		n.Params = params
 	}

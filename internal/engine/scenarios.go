@@ -19,15 +19,41 @@ import (
 )
 
 // scenarioSpec describes one named §4 mechanism simulation: its default
-// numeric parameters (the cmd/netsim flag defaults), an optional default
-// bandwidth for scenarios parameterized by a link speed, and the planner
-// that splits a normalized request into rows. Tables carry the exact
-// strings the CLI prints.
+// numeric parameters (the cmd/netsim flag defaults), upper bounds on its
+// size parameters, an optional default bandwidth for scenarios
+// parameterized by a link speed, and the planner that splits a normalized
+// request into rows. Tables carry the exact strings the CLI prints.
 type scenarioSpec struct {
 	defaults  map[string]float64
+	limits    map[string]float64
 	bandwidth string
 	plan      func(norm Request) (*RowPlan, error)
 }
+
+// Upper bounds on scenario size parameters, which Normalize enforces.
+// Each parameter sizes allocations that grow with it, and running out of
+// memory is not a panic any recover can contain, so a request above a
+// bound is refused instead. Times and peak memory are for cmd/netsim on a
+// 2-vCPU VM.
+const (
+	// maxFaultRadix bounds the faults scenario's fat-tree radix k. The
+	// tree has k³/4 hosts and the all-to-all job routes every ordered
+	// pair: k=8 (128 hosts, 16,256 pairs) at 16 iterations takes 3.9 s
+	// and 420 MB; k=10 would have 3.8x the pairs.
+	maxFaultRadix = 8
+	// maxTopologyHosts bounds the topologies scenario's host count. Every
+	// zoo generator builds up to 96 hosts (railopt runs out of switch
+	// ports at 128); 96 hosts at 16 iterations take 2.7 s and 340 MB.
+	maxTopologyHosts = 96
+	// maxScenarioIters bounds the simulated training iterations of faults
+	// and topologies: flows, events and trace segments grow linearly with
+	// them. 16 is 4x the faults default and 8x the topologies default.
+	maxScenarioIters = 16
+	// maxScenarioSamples bounds rateadapt's and parking's trace samples,
+	// each held per pipeline and per policy: 100,000 (125x parking's
+	// default) takes 0.5 s and 13 MB for rateadapt, the slower of the two.
+	maxScenarioSamples = 100_000
+)
 
 // scenarioRows is a row-structured scenario: the table frame (title,
 // headers, static notes) plus n independent row computations. The row
@@ -79,10 +105,12 @@ var scenarios = map[string]scenarioSpec{
 	},
 	"rateadapt": {
 		defaults: map[string]float64{"busy": 1, "ratio": 0.2, "level": 0.8, "samples": 400},
+		limits:   map[string]float64{"samples": maxScenarioSamples},
 		plan:     tableRows(rateAdaptRows),
 	},
 	"parking": {
 		defaults: map[string]float64{"ratio": 0.2, "level": 0.5, "period": 2, "samples": 800},
+		limits:   map[string]float64{"samples": maxScenarioSamples},
 		plan:     tableRows(parkingRows),
 	},
 	"eee": {
@@ -113,7 +141,8 @@ var scenarios = map[string]scenarioSpec{
 			"flaps": 6, "mttr": 0.3, "stuckprob": 0.25, "stuckextra": 0.5,
 			"reconfig": 0.2, "slowprob": 0.25, "failprob": 0.1,
 		},
-		plan: tableRows(faultsRows),
+		limits: map[string]float64{"radix": maxFaultRadix, "iters": maxScenarioIters},
+		plan:   tableRows(faultsRows),
 	},
 	"topologies": {
 		defaults: map[string]float64{
@@ -121,6 +150,7 @@ var scenarios = map[string]scenarioSpec{
 			"flaps": 4, "mttr": 0.3, "perm": 1,
 			"lowload": 0.1, "level": 0.9,
 		},
+		limits:    map[string]float64{"hosts": maxTopologyHosts, "iters": maxScenarioIters},
 		bandwidth: "100G",
 		plan:      tableRows(topologiesRows),
 	},

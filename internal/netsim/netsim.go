@@ -2,8 +2,11 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	mathbits "math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"netpowerprop/internal/device"
 	"netpowerprop/internal/fattree"
@@ -39,7 +42,14 @@ func (r Routing) String() string {
 	}
 }
 
-// Sim runs flow-level simulations on an explicit fat-tree topology.
+// Sim runs flow-level simulations on an explicit fat-tree topology. A Sim
+// holds only configuration and its path table. Everything a run builds
+// and discards (flow accounts, the route arena, event times, alive
+// filters, solver scratch, rate and trace buffers) lives in a runState
+// that Run draws from a process-wide pool and returns when it is done, so
+// a Sim built fresh for every simulation runs as warm as a reused one.
+// Distinct Sims may run concurrently, also over one shared PathTable; a
+// single Sim may not.
 type Sim struct {
 	Top *fattree.Topology
 	// ECMPSeed perturbs deterministic path selection, so repeated runs can
@@ -66,31 +76,6 @@ type Sim struct {
 	// private table on its first run; callers running many Sims over one
 	// topology share one table (see PathTable). It must be built over Top.
 	Paths *PathTable
-
-	// Routing state reused across runs: used marks, by node ID, the
-	// switches ConcentrateRouting has already chosen in the current run;
-	// slots numbers the pairs a faulted run routes, and alive[slot] caches
-	// that pair's surviving paths for one fault epoch.
-	used  []bool
-	slots map[*pathSet]int32
-	alive []aliveFilter
-
-	// Scratch reused so repeated Runs on one Sim allocate nothing in the
-	// solve loop.
-	scratch runScratch
-}
-
-// aliveFilter is one pair's surviving-path indices in fault epoch epoch.
-type aliveFilter struct {
-	epoch int
-	idx   []int
-}
-
-// runScratch is the solve state a Sim reuses across runs.
-type runScratch struct {
-	solver  Solver
-	demands []float64
-	paths   [][]int
 }
 
 // New returns a simulator over a topology.
@@ -148,26 +133,147 @@ type Result struct {
 	Faults *FaultReport
 }
 
+// runState is the scratch one Run needs beyond its Result. Run takes it
+// from runPool, sizes each buffer for its topology and flows (growing,
+// never shrinking), and releases it afterwards. Nothing in a Result
+// points into it.
+type runState struct {
+	// states are the flows' accounts and routes their per-epoch routing
+	// decisions (one arena). times are the sorted event times, byStart the
+	// flow indices in start order and cur the sweep's active flows.
+	states  []flowState
+	routes  []route
+	times   []units.Seconds
+	byStart []int32
+	cur     []int32
+
+	// used marks, by node ID, the switches ConcentrateRouting has chosen
+	// in this run. A faulted run numbers the pairs it routes for their
+	// alive filters: slots[pair] is 1 + the pair's index in alive (0: not
+	// numbered yet), where pair is the entry's index in its path table,
+	// and alive[i] caches that pair's surviving paths for one fault epoch.
+	// bits is the filters' path bitset scratch.
+	used  []bool
+	slots []int32
+	alive []aliveFilter
+	bits  []uint64
+
+	// caps holds base link capacities and epochCaps the current fault
+	// epoch's (dead links at zero). linkRate and switchRate sum the current
+	// interval's rates by link and node ID. switches lists the topology's
+	// switch node IDs.
+	caps, epochCaps      []float64
+	linkRate, switchRate []float64
+	switches             []int
+
+	// Traces are kept by column: link l is column l and node n column
+	// len(links)+n. open[c] is column c's current segment; a rate change
+	// closes it into segs, the run's segment log in time order. pos is the
+	// result's per-column arena offsets.
+	open []Segment
+	segs []columnSegment
+	pos  []int32
+
+	solver  Solver
+	demands []float64
+	paths   [][]int
+}
+
+var runPool = sync.Pool{New: func() any { return new(runState) }}
+
+// release clears the state's pointers into path tables, so a pooled state
+// keeps no evicted topology alive, and returns it to the pool.
+func (rs *runState) release() {
+	clear(rs.states)
+	clear(rs.paths[:cap(rs.paths)])
+	runPool.Put(rs)
+}
+
+// columnSegment is one closed trace segment of column col.
+type columnSegment struct {
+	col int32
+	seg Segment
+}
+
+// record extends column c's open segment over an interval starting at t0
+// with the given rate, so consecutive intervals at one rate share a
+// segment. When the rate differs it closes the open segment and opens a
+// new one; first marks the run's first interval, which only opens.
+func (rs *runState) record(c int, t0 units.Seconds, rate float64, first bool) {
+	if !first {
+		if float64(rs.open[c].Rate) == rate {
+			return
+		}
+		rs.close(c, t0)
+	}
+	rs.open[c] = Segment{Start: t0, Rate: units.Bandwidth(rate)}
+}
+
+// close ends column c's open segment at end and logs it.
+func (rs *runState) close(c int, end units.Seconds) {
+	seg := rs.open[c]
+	seg.End = end
+	rs.segs = append(rs.segs, columnSegment{int32(c), seg})
+}
+
+// aliveFilter is one pair's surviving-path indices in fault epoch epoch.
+type aliveFilter struct {
+	epoch int
+	idx   []int
+}
+
+// slotOf numbers a pair for this run's alive filters, reusing the filter
+// buffers of earlier runs. A pair its table did not publish (not two
+// hosts) is enumerated per lookup and gets a slot per lookup.
+func (rs *runState) slotOf(ps *pathSet) int32 {
+	if ps.pair >= 0 && rs.slots[ps.pair] > 0 {
+		return rs.slots[ps.pair] - 1
+	}
+	slot := int32(len(rs.alive))
+	if len(rs.alive) < cap(rs.alive) {
+		rs.alive = rs.alive[:slot+1]
+		rs.alive[slot].epoch = -1
+	} else {
+		rs.alive = append(rs.alive, aliveFilter{epoch: -1})
+	}
+	if ps.pair >= 0 {
+		rs.slots[ps.pair] = slot + 1
+	}
+	return slot
+}
+
 // aliveFor returns the indices of ps.paths that avoid every dead link of
-// fault epoch epoch, recomputing the pair's cached filter when it was
-// last filled for another epoch — the invalidation step after a link
-// fails or recovers.
-func (s *Sim) aliveFor(slot int32, ps *pathSet, epoch int, dead []bool) []int {
-	a := &s.alive[slot]
+// fault epoch epoch, refilling the pair's cached filter when it was last
+// filled for another epoch — the invalidation step after a link fails or
+// recovers. A refill starts from every path and clears, for each dead link
+// in the pair's link union, the paths that cross it, so it costs the
+// union's length rather than every path's hops.
+func (rs *runState) aliveFor(slot int32, ps *pathSet, epoch int, dead []bool) []int {
+	a := &rs.alive[slot]
 	if a.epoch == epoch {
 		return a.idx
 	}
-	a.idx = a.idx[:0]
-	for i, p := range ps.paths {
-		ok := true
-		for _, l := range p {
-			if dead[l] {
-				ok = false
-				break
+	n := len(ps.paths)
+	w := (n + 63) / 64
+	bits := rs.bits[:0]
+	for i := 0; i < w; i++ {
+		bits = append(bits, ^uint64(0))
+	}
+	if r := n % 64; r != 0 {
+		bits[w-1] = 1<<r - 1
+	}
+	for j, l := range ps.links {
+		if dead[l] {
+			for i, m := range ps.mask[j*w : (j+1)*w] {
+				bits[i] &^= m
 			}
 		}
-		if ok {
-			a.idx = append(a.idx, i)
+	}
+	rs.bits = bits
+	a.idx = a.idx[:0]
+	for i, b := range bits {
+		for ; b != 0; b &= b - 1 {
+			a.idx = append(a.idx, 64*i+mathbits.TrailingZeros64(b))
 		}
 	}
 	a.epoch = epoch
@@ -189,56 +295,78 @@ type route struct {
 // unrouted stands in for the pair entry of a flow whose window overlaps
 // no epoch (it ends at or before time 0): its zero route resolves to an
 // empty path.
-var unrouted = &pathSet{paths: [][]int{nil}, switches: [][]int{nil}}
+var unrouted = &pathSet{paths: [][]int{nil}, switches: [][]int32{nil}, pair: -1}
 
-// routeFor picks one path (and its switch sequence) per the routing policy
-// among the candidates: alive lists the surviving path indices, or is nil
-// when every path survives. With no dead links the choice is identical to
-// the fault-free policy.
-func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, alive []int) route {
-	n := len(ps.paths)
-	if alive != nil {
-		n = len(alive)
-	}
-	pick := func(k int) int {
-		if alive != nil {
-			return alive[k]
-		}
-		return k
-	}
-	rerouted := alive != nil
-	if s.Routing == ConcentrateRouting {
-		best, bestNew := pick(0), len(s.Top.Nodes)+1
-		for k := 0; k < n; k++ {
-			i := pick(k)
-			newSwitches := 0
-			for _, sw := range ps.switches[i] {
-				if !s.used[sw] {
-					newSwitches++
-				}
-			}
-			if newSwitches < bestNew {
-				best, bestNew = i, newSwitches
-			}
-		}
-		for _, sw := range ps.switches[best] {
-			s.used[sw] = true
-		}
-		return route{path: int32(best), rerouted: rerouted}
-	}
-	// Inline FNV-1a over (src, dst, seed) in little-endian order — the
-	// same bytes the hash.Hash64 version fed, without its allocation. The
-	// hash picks among surviving paths, so the fault-free choice (all
-	// paths alive) is unchanged.
+// ecmpHash is FNV-1a over (src, dst, seed) in little-endian order — the
+// bytes a hash.Hash64 version would be fed, without its allocation.
+func ecmpHash(f traffic.Flow, seed uint64) uint64 {
 	h := uint64(14695981039346656037)
-	for _, v := range [3]uint64{uint64(f.Src), uint64(f.Dst), s.ECMPSeed} {
+	for _, v := range [3]uint64{uint64(f.Src), uint64(f.Dst), seed} {
 		for i := 0; i < 8; i++ {
 			h ^= uint64(byte(v >> (8 * i)))
 			h *= 1099511628211
 		}
 	}
-	i := pick(int(h % uint64(n)))
-	return route{path: int32(i), rerouted: rerouted}
+	return h
+}
+
+// routeFor picks one path per the routing policy among the candidates:
+// alive lists the surviving path indices, or is nil when every path
+// survives. With no dead links the choice is identical to the fault-free
+// policy.
+func (s *Sim) routeFor(rs *runState, st *flowState, alive []int) route {
+	rt := route{rerouted: alive != nil}
+	if s.Routing == ConcentrateRouting {
+		i := concentratePick(st.ps, alive, rs.used)
+		for _, sw := range st.ps.switches[i] {
+			rs.used[sw] = true
+		}
+		rt.path = int32(i)
+		return rt
+	}
+	// The flow's hash picks among surviving paths, so the fault-free
+	// choice (all paths alive) is unchanged.
+	if alive == nil {
+		rt.path = int32(st.hash % uint64(len(st.ps.paths)))
+	} else {
+		rt.path = int32(alive[st.hash%uint64(len(alive))])
+	}
+	return rt
+}
+
+// concentratePick returns the index in ps.paths of the candidate visiting
+// the fewest switches not yet marked in used, the first such on ties; the
+// candidates are alive, or every path when alive is nil. A path's count
+// stops once it reaches the best so far, and the scan stops at a path
+// with no new switch: neither can change the pick.
+func concentratePick(ps *pathSet, alive []int, used []bool) int {
+	n := len(ps.paths)
+	if alive != nil {
+		n = len(alive)
+	}
+	best, bestNew := 0, math.MaxInt
+	for k := 0; k < n; k++ {
+		i := k
+		if alive != nil {
+			i = alive[k]
+		}
+		fresh := 0
+		for _, sw := range ps.switches[i] {
+			if !used[sw] {
+				fresh++
+				if fresh >= bestNew {
+					break
+				}
+			}
+		}
+		if fresh < bestNew {
+			best, bestNew = i, fresh
+			if fresh == 0 {
+				break
+			}
+		}
+	}
+	return best
 }
 
 // routeAll routes every flow for every fault epoch its window overlaps
@@ -247,32 +375,25 @@ func (s *Sim) routeFor(f traffic.Flow, ps *pathSet, alive []int) route {
 // filter is computed once per epoch. With one epoch this is exactly the
 // fault-free routing pass. Path-table lookups are counted locally and
 // added to the process-wide counters once.
-func (s *Sim) routeAll(states []flowState, tl *fault.Timeline, numEpochs int) (reroutes int, err error) {
+func (s *Sim) routeAll(rs *runState, tl *fault.Timeline, numEpochs int) (reroutes int, err error) {
 	var hits, misses uint64
 	defer func() {
 		pathHits.Add(hits)
 		pathMisses.Add(misses)
 	}()
-	if n := len(s.Top.Nodes); cap(s.used) < n {
-		s.used = make([]bool, n)
-	} else {
-		s.used = s.used[:n]
-		clear(s.used)
-	}
+	rs.used = resize(rs.used, len(s.Top.Nodes))
 	if tl != nil {
-		if s.slots == nil {
-			s.slots = make(map[*pathSet]int32)
-		}
-		clear(s.slots)
-		s.alive = s.alive[:0]
+		rs.slots = resize(rs.slots, len(s.Paths.pairs))
+		rs.alive = rs.alive[:0]
 	}
+	hashed := s.Routing != ConcentrateRouting
 	for e := 0; e < numEpochs; e++ {
 		var dead []bool
 		if tl != nil && tl.DeadCount[e] > 0 {
 			dead = tl.Dead[e]
 		}
-		for i := range states {
-			st := &states[i]
+		for i := range rs.states {
+			st := &rs.states[i]
 			if e < st.lo || e >= st.hi {
 				continue
 			}
@@ -287,13 +408,16 @@ func (s *Sim) routeAll(states []flowState, tl *fault.Timeline, numEpochs int) (r
 					misses++
 				}
 				st.ps = ps
+				if hashed {
+					st.hash = ecmpHash(st.spec, s.ECMPSeed)
+				}
 				if tl != nil {
-					st.slot = s.slotOf(ps)
+					st.slot = rs.slotOf(ps)
 				}
 			}
 			var alive []int // nil: every path survives
 			if dead != nil {
-				alive = s.aliveFor(st.slot, st.ps, e, dead)
+				alive = rs.aliveFor(st.slot, st.ps, e, dead)
 				if len(alive) == 0 {
 					st.routes[e-st.lo] = route{stalled: true}
 					continue
@@ -302,7 +426,7 @@ func (s *Sim) routeAll(states []flowState, tl *fault.Timeline, numEpochs int) (r
 					alive = nil
 				}
 			}
-			rt := s.routeFor(st.spec, st.ps, alive)
+			rt := s.routeFor(rs, st, alive)
 			if rt.rerouted {
 				reroutes++
 			}
@@ -310,23 +434,6 @@ func (s *Sim) routeAll(states []flowState, tl *fault.Timeline, numEpochs int) (r
 		}
 	}
 	return reroutes, nil
-}
-
-// slotOf numbers a pair for this run's alive filters, reusing the filter
-// buffers of earlier runs.
-func (s *Sim) slotOf(ps *pathSet) int32 {
-	if slot, ok := s.slots[ps]; ok {
-		return slot
-	}
-	slot := int32(len(s.alive))
-	s.slots[ps] = slot
-	if len(s.alive) < cap(s.alive) {
-		s.alive = s.alive[:slot+1]
-		s.alive[slot].epoch = -1
-	} else {
-		s.alive = append(s.alive, aliveFilter{epoch: -1})
-	}
-	return slot
 }
 
 // capacityOf resolves a link's effective capacity.
@@ -343,8 +450,10 @@ func (s *Sim) capacityOf(l fattree.Link) units.Bandwidth {
 type flowState struct {
 	spec traffic.Flow
 	// ps is the flow's pair entry, looked up when the flow is first routed;
-	// slot numbers the pair for a faulted run's alive filters.
+	// hash is its ECMP hash under HashECMP, and slot numbers the pair for
+	// a faulted run's alive filters.
 	ps   *pathSet
+	hash uint64
 	slot int32
 	// routes[e-lo] is the decision for fault epoch e, for the epochs
 	// lo <= e < hi its window overlaps (a fault-free run has one epoch). A
@@ -355,20 +464,15 @@ type flowState struct {
 	downtime  units.Seconds
 }
 
-// interval is one constant-rate span of the sweep: the flows active during
-// [t0,t1) live at activeIdx[off:off+n].
-type interval struct {
-	t0, t1 units.Seconds
-	off, n int
-}
-
 // RunParallel is Run. It stays only because perfbench/trace.go calls it,
 // and is removed with the next change to the benchmark.
 func (s *Sim) RunParallel(flows []traffic.Flow, _ int) (*Result, error) { return s.Run(flows) }
 
 // Run simulates the flows and returns utilization traces. The horizon is
 // the latest flow end time (0 horizon is an error: nothing to simulate).
-// Intervals are solved serially: the engine already fans a request's rows
+// Run routes every flow for each fault epoch its window overlaps, then
+// sweeps the event times once, solving and accumulating each interval as
+// it reaches it. It is serial: the engine already fans a request's rows
 // out across cores, and each row runs its simulations with Run.
 func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	if s.Top == nil {
@@ -382,7 +486,10 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	} else if s.Paths.top != s.Top {
 		return nil, fmt.Errorf("netsim: path table is over a different topology")
 	}
-	states := make([]flowState, len(flows))
+	rs := runPool.Get().(*runState)
+	defer rs.release()
+	rs.states = resize(rs.states, len(flows))
+	states := rs.states
 	var horizon units.Seconds
 	for i, f := range flows {
 		if f.End <= f.Start {
@@ -391,7 +498,7 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 		if f.Demand <= 0 {
 			return nil, fmt.Errorf("netsim: flow %d non-positive demand %v", i, f.Demand)
 		}
-		states[i] = flowState{spec: f}
+		states[i].spec = f
 		if f.End > horizon {
 			horizon = f.End
 		}
@@ -430,20 +537,38 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 		}
 		total += max(st.hi-st.lo, 1)
 	}
-	routeArena := make([]route, total)
+	rs.routes = resize(rs.routes, total)
+	arena := rs.routes
 	for i := range states {
 		n := max(states[i].hi-states[i].lo, 1)
-		states[i].routes, routeArena = routeArena[:n:n], routeArena[n:]
+		states[i].routes, arena = arena[:n:n], arena[n:]
 	}
-	reroutes, err := s.routeAll(states, tl, numEpochs)
+	reroutes, err := s.routeAll(rs, tl, numEpochs)
 	if err != nil {
 		return nil, err
+	}
+	if err := s.sweep(rs, tl, horizon); err != nil {
+		return nil, err
+	}
+	return s.result(rs, tl, horizon, reroutes), nil
+}
+
+// sweep walks the sorted event times once. For each interval [t0,t1) it
+// admits the flows that started, retires the ones that ended, steps to
+// the fault epoch holding t0, solves the interval's max-min problem over
+// the active flows that are not stalled, and accumulates delivered bits,
+// downtime and the per-link and per-switch traces. Active flows stay in
+// (start, input index) order, so every solve sees a deterministic order.
+func (s *Sim) sweep(rs *runState, tl *fault.Timeline, horizon units.Seconds) error {
+	states := rs.states
+	numEpochs := 1
+	if tl != nil {
+		numEpochs = tl.NumEpochs()
 	}
 
 	// Event times: every flow boundary and epoch start plus 0 and horizon,
 	// sorted unique, so each interval lies within exactly one epoch.
-	times := make([]units.Seconds, 0, 2*len(states)+numEpochs+1)
-	times = append(times, 0, horizon)
+	times := append(rs.times[:0], 0, horizon)
 	for i := range states {
 		times = append(times, states[i].spec.Start, states[i].spec.End)
 	}
@@ -452,15 +577,13 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	}
 	slices.Sort(times)
 	times = slices.Compact(times)
+	rs.times = times
 
-	// Sweep the sorted start/end events once to snapshot each interval's
-	// active flows, replacing the O(intervals × flows) rescan. Flow order
-	// within an interval is (start, input index) — deterministic.
-	byStart := make([]int, len(states))
-	for i := range byStart {
-		byStart[i] = i
+	byStart := rs.byStart[:0]
+	for i := range states {
+		byStart = append(byStart, int32(i))
 	}
-	slices.SortStableFunc(byStart, func(a, b int) int {
+	slices.SortStableFunc(byStart, func(a, b int32) int {
 		sa, sb := states[a].spec.Start, states[b].spec.Start
 		switch {
 		case sa < sb:
@@ -471,9 +594,27 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 			return 0
 		}
 	})
-	intervals := make([]interval, 0, len(times)-1)
-	var activeIdx []int // arena: every interval's active-flow snapshot
-	cur := make([]int, 0, len(states))
+	rs.byStart = byStart
+
+	nl := len(s.Top.Links)
+	rs.caps = resize(rs.caps, nl)
+	for _, l := range s.Top.Links {
+		rs.caps[l.ID] = float64(s.capacityOf(l))
+	}
+	rs.linkRate = resize(rs.linkRate, nl)
+	rs.switchRate = resize(rs.switchRate, len(s.Top.Nodes))
+	rs.open = resize(rs.open, nl+len(s.Top.Nodes))
+	rs.segs = rs.segs[:0]
+	rs.switches = rs.switches[:0]
+	for _, n := range s.Top.Nodes {
+		if n.IsSwitch() {
+			rs.switches = append(rs.switches, n.ID)
+		}
+	}
+
+	epoch := 0
+	caps := rs.capacityIn(tl, epoch)
+	cur := rs.cur[:0]
 	next := 0
 	for ti := 0; ti+1 < len(times); ti++ {
 		t0, t1 := times[ti], times[ti+1]
@@ -489,116 +630,135 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 			}
 		}
 		cur = cur[:k]
-		intervals = append(intervals, interval{t0: t0, t1: t1, off: len(activeIdx), n: len(cur)})
-		activeIdx = append(activeIdx, cur...)
-	}
-
-	// Epoch starts are event times, so each interval sits inside exactly
-	// one epoch; a single forward walk labels them all.
-	epochOf := make([]int, len(intervals))
-	if tl != nil {
-		e := 0
-		for k := range intervals {
-			for e+1 < numEpochs && tl.Starts[e+1] <= intervals[k].t0 {
-				e++
-			}
-			epochOf[k] = e
+		// Epoch starts are event times, so t0 reaching the next epoch's
+		// start moves the whole interval into it.
+		for epoch+1 < numEpochs && tl.Starts[epoch+1] <= t0 {
+			epoch++
+			caps = rs.capacityIn(tl, epoch)
 		}
-	}
 
-	caps := make([]float64, len(s.Top.Links))
-	for _, l := range s.Top.Links {
-		caps[l.ID] = float64(s.capacityOf(l))
-	}
-	// Per-epoch capacities: dead links drop to zero so the max-min solver
-	// cannot place traffic on them. Clean epochs share the base slice.
-	epochCaps := [][]float64{caps}
-	if tl != nil {
-		epochCaps = make([][]float64, numEpochs)
-		for e := range epochCaps {
-			if tl.DeadCount[e] == 0 {
-				epochCaps[e] = caps
-				continue
-			}
-			ec := make([]float64, len(caps))
-			copy(ec, caps)
-			for l, d := range tl.Dead[e] {
-				if d {
-					ec[l] = 0
-				}
-			}
-			epochCaps[e] = ec
-		}
-	}
-
-	// Walk the intervals in time order: solve each one's fairness problem,
-	// then accumulate delivered bits, per-link and per-switch rate sums,
-	// and traces. Stalled flows are excluded from the solve and accrue
-	// downtime instead.
-	res := &Result{
-		Horizon:     horizon,
-		LinkTrace:   make(map[int]Trace, len(s.Top.Links)),
-		SwitchTrace: make(map[int]Trace),
-	}
-	switchIDs := s.Top.SwitchIDs()
-	for _, l := range s.Top.Links {
-		res.LinkTrace[l.ID] = nil
-	}
-	for _, sw := range switchIDs {
-		res.SwitchTrace[sw] = nil
-	}
-	linkRate := make([]float64, len(s.Top.Links))
-	switchRate := make([]float64, len(s.Top.Nodes))
-	sc := &s.scratch
-	for k, iv := range intervals {
-		clear(linkRate)
-		clear(switchRate)
-		epoch := epochOf[k]
-		idxs := activeIdx[iv.off : iv.off+iv.n]
-		sc.demands, sc.paths = sc.demands[:0], sc.paths[:0]
-		for _, fi := range idxs {
+		// Stalled flows are left out of the solve and accrue downtime.
+		clear(rs.linkRate)
+		clear(rs.switchRate)
+		rs.demands, rs.paths = rs.demands[:0], rs.paths[:0]
+		for _, fi := range cur {
 			st := &states[fi]
 			if rt := &st.routes[epoch-st.lo]; !rt.stalled {
-				sc.demands = append(sc.demands, float64(st.spec.Demand))
-				sc.paths = append(sc.paths, st.ps.paths[rt.path])
+				rs.demands = append(rs.demands, float64(st.spec.Demand))
+				rs.paths = append(rs.paths, st.ps.paths[rt.path])
 			}
 		}
 		var rates []float64
-		if len(sc.demands) > 0 {
-			if rates, err = sc.solver.Solve(sc.demands, sc.paths, epochCaps[epoch]); err != nil {
-				return nil, err
+		if len(rs.demands) > 0 {
+			var err error
+			if rates, err = rs.solver.Solve(rs.demands, rs.paths, caps); err != nil {
+				rs.cur = cur
+				return err
 			}
 		}
-		dt := float64(iv.t1 - iv.t0)
+		dt := float64(t1 - t0)
 		r := 0
-		for _, fi := range idxs {
+		for _, fi := range cur {
 			st := &states[fi]
 			rt := &st.routes[epoch-st.lo]
 			if rt.stalled {
-				st.downtime += iv.t1 - iv.t0
+				st.downtime += t1 - t0
 				continue
 			}
 			rate := rates[r]
 			r++
 			st.delivered += rate * dt
 			for _, l := range st.ps.paths[rt.path] {
-				linkRate[l] += rate
+				rs.linkRate[l] += rate
 			}
 			for _, sw := range st.ps.switches[rt.path] {
-				switchRate[sw] += rate
+				rs.switchRate[sw] += rate
 			}
 		}
 		for _, l := range s.Top.Links {
-			res.LinkTrace[l.ID] = res.LinkTrace[l.ID].append(iv.t0, iv.t1, units.Bandwidth(linkRate[l.ID]))
+			rs.record(l.ID, t0, rs.linkRate[l.ID], ti == 0)
 		}
-		for _, sw := range switchIDs {
-			res.SwitchTrace[sw] = res.SwitchTrace[sw].append(iv.t0, iv.t1, units.Bandwidth(switchRate[sw]))
+		for _, sw := range rs.switches {
+			rs.record(nl+sw, t0, rs.switchRate[sw], ti == 0)
 		}
 	}
+	rs.cur = cur
+	if last := len(times) - 1; last > 0 {
+		for _, l := range s.Top.Links {
+			rs.close(l.ID, times[last])
+		}
+		for _, sw := range rs.switches {
+			rs.close(nl+sw, times[last])
+		}
+	}
+	return nil
+}
 
-	res.Flows = make([]FlowStat, len(states))
-	for i := range states {
-		st := &states[i]
+// capacityIn returns the link capacities of fault epoch e: the base
+// capacities, with the epoch's dead links at zero so the max-min solver
+// cannot place traffic on them.
+func (rs *runState) capacityIn(tl *fault.Timeline, e int) []float64 {
+	if tl == nil || tl.DeadCount[e] == 0 {
+		return rs.caps
+	}
+	rs.epochCaps = append(rs.epochCaps[:0], rs.caps...)
+	for l, d := range tl.Dead[e] {
+		if d {
+			rs.epochCaps[l] = 0
+		}
+	}
+	return rs.epochCaps
+}
+
+// result builds the run's Result from the swept state: the traces, copied
+// into one exact-size arena, the flow outcomes, and the fault report.
+func (s *Sim) result(rs *runState, tl *fault.Timeline, horizon units.Seconds, reroutes int) *Result {
+	res := &Result{
+		Horizon:     horizon,
+		LinkTrace:   make(map[int]Trace, len(s.Top.Links)),
+		SwitchTrace: make(map[int]Trace, len(rs.switches)),
+	}
+	// Sort the segment log by column into one exact-size arena, keeping
+	// each column's time order. Afterwards pos[c] is the end of column
+	// c's run and the start of column c+1's. Each trace is a
+	// capacity-limited sub-slice, so appending to one copies instead of
+	// writing into its neighbor.
+	pos := resize(rs.pos, len(rs.open))
+	rs.pos = pos
+	for _, cs := range rs.segs {
+		pos[cs.col]++
+	}
+	var start int32
+	for c, n := range pos {
+		pos[c] = start
+		start += n
+	}
+	arena := make([]Segment, len(rs.segs))
+	for _, cs := range rs.segs {
+		arena[pos[cs.col]] = cs.seg
+		pos[cs.col]++
+	}
+	trace := func(c int) Trace {
+		var lo int32
+		if c > 0 {
+			lo = pos[c-1]
+		}
+		if lo == pos[c] {
+			return nil
+		}
+		return Trace(arena[lo:pos[c]:pos[c]])
+	}
+	nl := len(s.Top.Links)
+	for _, l := range s.Top.Links {
+		res.LinkTrace[l.ID] = trace(l.ID)
+	}
+	for _, sw := range rs.switches {
+		res.SwitchTrace[sw] = trace(nl + sw)
+	}
+
+	res.Flows = make([]FlowStat, len(rs.states))
+	for i := range rs.states {
+		st := &rs.states[i]
 		life := float64(st.spec.End - st.spec.Start)
 		var path []int // the start epoch's route; none if it stalled
 		if rt := st.routes[0]; !rt.stalled {
@@ -609,7 +769,7 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 		// TransferLatency charges hop delay only.
 		var bottleneck float64
 		for pi, l := range path {
-			if c := caps[l]; pi == 0 || c < bottleneck {
+			if c := rs.caps[l]; pi == 0 || c < bottleneck {
 				bottleneck = c
 			}
 		}
@@ -632,19 +792,19 @@ func (s *Sim) Run(flows []traffic.Flow) (*Result, error) {
 	if tl != nil {
 		rep := &FaultReport{
 			Events:      tl.Events,
-			Epochs:      numEpochs,
+			Epochs:      tl.NumEpochs(),
 			MissedWakes: tl.MissedWakes,
 			Reroutes:    reroutes,
 		}
-		for i := range states {
-			if d := states[i].downtime; d > 0 {
+		for i := range rs.states {
+			if d := rs.states[i].downtime; d > 0 {
 				rep.StallSeconds += d
 				rep.StalledFlows++
 			}
 		}
 		res.Faults = rep
 	}
-	return res, nil
+	return res
 }
 
 // EnergyReport is the baseline network energy of a simulation under a

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -35,7 +36,16 @@ type PathTable struct {
 // pathSet is one (src,dst) pair's ECMP choices.
 type pathSet struct {
 	paths    [][]int
-	switches [][]int // switches visited by paths[i], in path order
+	switches [][]int32 // switches visited by paths[i], in path order
+	// links is the union of the paths' links, ascending, and mask records
+	// which paths cross each: with w = ⌈len(paths)/64⌉ words per link,
+	// path i crosses links[j] when bit i of mask[j*w:(j+1)*w] is set. A
+	// fault epoch's alive filter walks links, not every path's hops.
+	links []int32
+	mask  []uint64
+	// pair is the entry's index in its table's pairs; -1 for an entry the
+	// table does not publish.
+	pair int32
 }
 
 // Process-wide path-table lookup counters: a Run counts its lookups
@@ -85,7 +95,7 @@ func (t *PathTable) lookup(src, dst int) (ps *pathSet, hit bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ps, size := compactPaths(t.top, src, paths)
+	ps, size := compactPaths(t.top, src, paths, int32(slot))
 	if slot < 0 {
 		return ps, false, nil
 	}
@@ -96,40 +106,61 @@ func (t *PathTable) lookup(src, dst int) (ps *pathSet, hit bool, err error) {
 	return ps, false, nil
 }
 
-// compactPaths copies an enumeration into one exact-size arena holding
-// every path's links and then every path's switches, and reports the
-// bytes retained.
-func compactPaths(top *fattree.Topology, src int, paths [][]int) (*pathSet, int64) {
-	n := 0
+// compactPaths copies an enumeration into exact-size arenas: one holding
+// every path's links, and one holding the pair's link union followed by
+// every path's switches. It builds the union's path masks and reports the
+// bytes retained. pair is the entry's index in its table (-1:
+// unpublished).
+func compactPaths(top *fattree.Topology, src int, paths [][]int, pair int32) (*pathSet, int64) {
+	nl, ns := 0, 0
 	for _, p := range paths {
-		n += len(p)
+		nl += len(p)
 		at := src
 		for _, lid := range p {
 			at = top.Peer(lid, at)
 			if top.Nodes[at].IsSwitch() {
-				n++
+				ns++
 			}
 		}
 	}
-	arena := make([]int, 0, n)
-	hdr := make([][]int, 2*len(paths))
-	ps := &pathSet{paths: hdr[:len(paths):len(paths)], switches: hdr[len(paths):]}
+	ps := &pathSet{paths: make([][]int, len(paths)), switches: make([][]int32, len(paths)), pair: pair}
+	links := make([]int, 0, nl)
 	for i, p := range paths {
-		start := len(arena)
-		arena = append(arena, p...)
-		ps.paths[i] = arena[start:len(arena):len(arena)]
+		start := len(links)
+		links = append(links, p...)
+		ps.paths[i] = links[start:len(links):len(links)]
 	}
+
+	union := make([]int32, len(links))
+	for i, l := range links {
+		union[i] = int32(l)
+	}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	small := append(make([]int32, 0, len(union)+ns), union...)
+	ps.links = small[:len(union):len(union)]
 	for i, p := range paths {
-		start := len(arena)
+		start := len(small)
 		at := src
 		for _, lid := range p {
 			at = top.Peer(lid, at)
 			if top.Nodes[at].IsSwitch() {
-				arena = append(arena, at)
+				small = append(small, int32(at))
 			}
 		}
-		ps.switches[i] = arena[start:len(arena):len(arena)]
+		ps.switches[i] = small[start:len(small):len(small)]
 	}
-	size := int64(unsafe.Sizeof(pathSet{})) + int64(len(hdr))*int64(unsafe.Sizeof([]int(nil))) + 8*int64(n)
+
+	w := (len(paths) + 63) / 64
+	ps.mask = make([]uint64, w*len(ps.links))
+	for i, p := range paths {
+		for _, l := range p {
+			j, _ := slices.BinarySearch(ps.links, int32(l))
+			ps.mask[j*w+i/64] |= 1 << (i % 64)
+		}
+	}
+	size := int64(unsafe.Sizeof(pathSet{})) +
+		int64(len(paths))*int64(unsafe.Sizeof([]int(nil))+unsafe.Sizeof([]int32(nil))) +
+		8*int64(nl) + 4*int64(len(ps.links)+ns) + 8*int64(len(ps.mask))
 	return ps, size
 }

@@ -45,10 +45,10 @@ func (s *Solver) Solve(demands []float64, paths [][]int, capacity []float64) ([]
 	if len(paths) != n {
 		return nil, fmt.Errorf("netsim: %d demands but %d paths", n, len(paths))
 	}
-	s.rates = resizeFloats(s.rates, n)
-	s.frozen = resizeBools(s.frozen, n)
+	s.rates = resize(s.rates, n)
+	s.frozen = resize(s.frozen, n)
 	s.remaining = append(s.remaining[:0], capacity...)
-	s.count = resizeInts(s.count, nl)
+	s.count = resize(s.count, nl)
 
 	total := 0
 	for i := 0; i < n; i++ {
@@ -71,8 +71,8 @@ func (s *Solver) Solve(demands []float64, paths [][]int, capacity []float64) ([]
 	}
 
 	// Build the link→flow index while counts are still pristine.
-	s.csrOff = resizeInts(s.csrOff, nl+1)
-	s.cursor = resizeInts(s.cursor, nl)
+	s.csrOff = resize(s.csrOff, nl+1)
+	s.cursor = resize(s.cursor, nl)
 	off := 0
 	for l := 0; l < nl; l++ {
 		s.csrOff[l] = off
@@ -236,35 +236,13 @@ func (s *Solver) SolveMap(demands []float64, paths [][]int, capacity map[int]flo
 
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
-func resizeFloats(s []float64, n int) []float64 {
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }

@@ -82,7 +82,7 @@ END {
 			else printf "  %s\n", caplines[j] >> out
 		}
 	}
-	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths); current = dense Solver + per-topology path tables + event free list + pooled path-enumeration scratch. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
+	printf "  \"notes\": \"seed = pre-optimization baseline (map-based MaxMin, per-run path enumeration, per-event heap allocation, per-call BFS scratch in topo paths); current = dense Solver + per-topology path tables + pooled per-run simulator state + event free list + pooled path-enumeration scratch. serve_capacity = cmd/loadgen -compare: the same 1024 distinct what-if rows as individual /v1/whatif requests vs 128-row /v1/batch submissions, goodput_ratio = batch rows/s over single rows/s. Regenerate with scripts/bench.sh.\"\n" >> out
 	printf "}\n" >> out
 }
 ' "$tmp"
